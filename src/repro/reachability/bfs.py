@@ -101,30 +101,8 @@ class OnlineBFSEvaluator(CompiledSearchMixin):
             return outcome.users()
         return set(self._search(source, expression, result, stop_at=None, collect_witness=False))
 
-    def sweep_targets_many(self, sources, expression: PathExpression, *,
-                           direction: str = "auto"):
-        """Batched :meth:`find_targets`: one automaton, one shared owner sweep.
-
-        The compiled path runs the multi-source owner-bitset sweep
-        (:func:`~repro.reachability.compiled_search.audience_sweep`);
-        ``direction`` pins the planner's forward/reverse choice (or selects
-        the per-owner ``"batched"`` baseline).  The legacy dict path ignores
-        ``direction`` and loops per owner.
-
-        Returns ``({owner: audience}, executed SweepPlan or None)`` — the
-        plan is ``None`` on the per-owner legacy path, which plans nothing.
-        """
-        if self.compiled:
-            return self._compiled_sweep_many(
-                list(sources), expression, direction=direction
-            )
-        return (
-            {source: self.find_targets(source, expression) for source in sources},
-            None,
-        )
-
-    # find_targets_many (the audiences-only legacy wrapper) is inherited
-    # from SweepPlanSideChannel, shared by all four backends.
+    # sweep_targets_many / find_targets_many (the bulk audience forms) are
+    # inherited from CompiledSearchMixin.
 
     # ------------------------------------------------- legacy (dict) search
 

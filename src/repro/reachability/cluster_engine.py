@@ -52,7 +52,7 @@ from repro.policy.path_expression import PathExpression
 from repro.policy.steps import Direction
 from repro.reachability.compiled_search import (
     AutomatonCache,
-    SweepPlanSideChannel,
+    SweepTargetsMixin,
     audience_sweep,
 )
 from repro.reachability.interned import FORWARD_BYTE, InternedLineIndex, interned_line_index
@@ -74,7 +74,7 @@ __all__ = ["ClusterIndexEvaluator"]
 _HopSpec = Tuple[int, bool, bool, int]
 
 
-class ClusterIndexEvaluator(SweepPlanSideChannel):
+class ClusterIndexEvaluator(SweepTargetsMixin):
     """Index-backed evaluator (line graph + 2-hop cover + cluster join index)."""
 
     name = "cluster-index"
@@ -96,7 +96,7 @@ class ClusterIndexEvaluator(SweepPlanSideChannel):
         self._line_graph: Optional[LineGraph] = None
         self._join_index: Optional[JoinIndex] = None
         self._index: Optional[InternedLineIndex] = None
-        # Compiled automata for the batched audience sweep.  The build-time
+        # Compiled automata for the multi-source audience sweep.  The build-time
         # snapshot's structure is frozen, but its attribute dicts are live
         # (shared with the graph), so the cache — whose automata memoize
         # per-(step, node) condition outcomes — must be invalidated on the
@@ -296,10 +296,7 @@ class ClusterIndexEvaluator(SweepPlanSideChannel):
         check_expansion_limit(expression, self.expansion_limit)
         sources = list(sources)
         if self._index is None:
-            return (
-                {source: self.find_targets(source, expression) for source in sources},
-                None,
-            )
+            return self._looped_targets_many(sources, expression, direction)
         snapshot = self._index.snapshot
         live_epoch = getattr(self.graph, "epoch", None)
         if live_epoch != self._audience_epoch:
@@ -323,9 +320,6 @@ class ClusterIndexEvaluator(SweepPlanSideChannel):
         for (position, _index), accepted in zip(present, sweep.audiences):
             audiences[sources[position]] = {user_of[node] for node in accepted}
         return audiences, sweep.plan
-
-    # find_targets_many (the audiences-only legacy wrapper) is inherited
-    # from SweepPlanSideChannel, shared by all four backends.
 
     def _check_directions(self, expression: PathExpression) -> None:
         """A forward-only line graph cannot evaluate steps that traverse edges backwards."""

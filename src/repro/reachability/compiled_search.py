@@ -16,15 +16,17 @@ constrained product walk as :mod:`repro.reachability.bfs` /
   integers; witness information is kept as packed parent links and
   reconstructed into :class:`~repro.graph.paths.Path` objects only on
   demand, through :class:`SearchOutcome`.
-* :func:`audience_sweep` is the batched ``find_targets`` form: a **single
-  multi-source product sweep** that keeps, per ``(node, state)`` slot, a
-  bitmask of the owners whose walk has reached that slot (Python ints over
-  a dense owner index).  Overlapping owner neighbourhoods are traversed
-  once — a slot's outgoing CSR rows are rescanned only when *new* owner
-  bits arrive — instead of once per owner.  A :func:`direction planner
-  <plan_audience_sweep>` decides per expression whether to run the sweep
-  forward from the owners or backward from the whole vertex set over the
-  :func:`reversed automaton <reversed_expression>`.
+* :class:`SweepState` is the one owner-bitset sweep kernel: it keeps, per
+  ``(node, state)`` slot, a bitmask of the owners whose walk has reached
+  that slot (Python ints over a dense owner index), so overlapping owner
+  neighbourhoods are traversed once — a slot's outgoing CSR rows are
+  rescanned only when *new* owner bits arrive — instead of once per owner.
+  The state is resumable: seeds may arrive between runs and a guard-cut
+  run picks up where it stopped.  :func:`audience_sweep` drives it forward
+  from the owners or backward from the whole vertex set over the
+  :func:`reversed automaton <reversed_expression>`, as the :func:`direction
+  planner <plan_audience_sweep>` decides; the sharded router and the shard
+  worker pool drive the same class once per shard.
 
 Both the breadth-first and the depth-first evaluator use the same core —
 they differ only in which end of the frontier is popped.
@@ -34,9 +36,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro._deprecation import warn_deprecated
 from repro.graph.compiled import CompiledGraph, compile_graph
 from repro.graph.paths import Path, Traversal
 from repro.graph.social_graph import UserId
@@ -51,18 +52,25 @@ __all__ = [
     "CompiledSearchMixin",
     "SearchOutcome",
     "SweepPlan",
-    "SweepPlanSideChannel",
+    "SweepTargetsMixin",
     "AudienceSweep",
     "product_search",
     "audience_sweep",
-    "audience_sweep_batched",
     "plan_audience_sweep",
     "reversed_expression",
     "reversed_automaton",
 ]
 
 #: Accepted values of every ``direction=`` parameter along the audience path.
-SWEEP_DIRECTIONS = ("auto", "forward", "reverse", "batched")
+SWEEP_DIRECTIONS = ("auto", "forward", "reverse")
+
+
+def check_sweep_direction(direction: str) -> None:
+    """Raise :class:`ValueError` unless ``direction`` is in :data:`SWEEP_DIRECTIONS`."""
+    if direction not in SWEEP_DIRECTIONS:
+        raise ValueError(
+            f"unknown sweep direction {direction!r}; expected one of {SWEEP_DIRECTIONS}"
+        )
 
 #: A packed CSR edge as stored in parent links: (rel source, rel target,
 #: label id, traversed forward?).
@@ -222,56 +230,33 @@ class AutomatonCache:
         return len(self._cache)
 
 
-class SweepPlanSideChannel:
-    """Deprecated ``last_sweep_plan`` alias shared by every backend.
-
-    Since PR 5 the executed :class:`SweepPlan` is *returned* next to the
-    audiences (``sweep_targets_many``) and carried on the
-    :class:`~repro.service.results.AudienceResult` objects the
-    :class:`~repro.service.GraphService` facade hands out — a result owns
-    its plan forever, where the mutable attribute only described the most
-    recent call (and a memo-warm call could leave a *previous* call's plan
-    behind on the backend).  Reading the attribute still works but emits a
-    :class:`DeprecationWarning`; assigning it is allowed so legacy callers
-    that reset it keep working.
-    """
-
-    _last_sweep_plan: Optional["SweepPlan"] = None
-
-    @property
-    def last_sweep_plan(self) -> Optional["SweepPlan"]:
-        warn_deprecated(
-            f"{type(self).__name__}.last_sweep_plan is a deprecated side-channel; "
-            "use the plan returned by sweep_targets_many() (or carried by "
-            "GraphService audience results) instead"
-        )
-        return self._last_sweep_plan
-
-    @last_sweep_plan.setter
-    def last_sweep_plan(self, plan: Optional["SweepPlan"]) -> None:
-        self._last_sweep_plan = plan
+class SweepTargetsMixin:
+    """The bulk-audience forms every backend shares over its ``sweep_targets_many``."""
 
     def find_targets_many(
         self, sources, expression: PathExpression, *, direction: str = "auto"
     ):
-        """Audiences-only form of ``sweep_targets_many`` (the pre-PR 5 shape).
+        """Audiences-only form of ``sweep_targets_many``."""
+        return self.sweep_targets_many(sources, expression, direction=direction)[0]
 
-        The one legacy wrapper shared by every backend: kept for callers
-        that do not need the executed plan, which is still mirrored on the
-        deprecated ``last_sweep_plan`` side-channel.
+    def _looped_targets_many(
+        self, sources, expression: PathExpression, direction: str
+    ) -> Tuple[Dict[UserId, Set[UserId]], None]:
+        """Per-owner ``find_targets`` loop for hosts without a compiled sweep.
+
+        ``direction`` is validated but steers nothing: the loop plans
+        nothing, so the returned plan is ``None``.
         """
-        audiences, plan = self.sweep_targets_many(
-            sources, expression, direction=direction
-        )
-        self._last_sweep_plan = plan
-        return audiences
+        check_sweep_direction(direction)
+        return {source: self.find_targets(source, expression) for source in sources}, None
 
 
-class CompiledSearchMixin(SweepPlanSideChannel):
+class CompiledSearchMixin(SweepTargetsMixin):
     """Compiled-search dispatch shared by the online BFS/DFS evaluators.
 
-    Hosts need ``self.graph`` and an ``AutomatonCache`` at ``self._automata``;
-    the only degree of freedom is the class attribute ``_depth_first``.
+    Hosts need ``self.graph``, the ``self.compiled`` switch and an
+    ``AutomatonCache`` at ``self._automata``; the only degree of freedom is
+    the class attribute ``_depth_first``.
     """
 
     _depth_first = False
@@ -300,19 +285,26 @@ class CompiledSearchMixin(SweepPlanSideChannel):
             depth_first=self._depth_first,
         )
 
-
-    def _compiled_sweep_many(
+    def sweep_targets_many(
         self,
-        sources: Sequence[UserId],
+        sources: Iterable[UserId],
         expression: PathExpression,
         *,
         direction: str = "auto",
-    ) -> Tuple[Dict[UserId, Set[UserId]], "SweepPlan"]:
-        """Batched ``find_targets``: one automaton compile, one shared sweep.
+    ) -> Tuple[Dict[UserId, Set[UserId]], Optional["SweepPlan"]]:
+        """Bulk ``find_targets``: one automaton compile, one shared owner sweep.
 
-        Returns ``(audiences, executed plan)`` — the plan travels with the
-        result instead of through a mutable attribute.
+        The compiled path runs :func:`audience_sweep` (audience
+        materialization has no exploration order, so BFS and DFS share it);
+        ``direction`` pins the planner's forward/reverse choice.  The legacy
+        dict path validates ``direction`` and loops per owner.
+
+        Returns ``({owner: audience}, executed SweepPlan or None)`` — the
+        plan is ``None`` on the per-owner legacy path, which plans nothing.
         """
+        if not self.compiled:
+            return self._looped_targets_many(sources, expression, direction)
+        sources = list(sources)
         snapshot = compile_graph(self.graph)
         automaton = self._automata.get(expression, snapshot)
         indices = [snapshot.index_of(source) for source in sources]
@@ -481,106 +473,6 @@ def product_search(
     return SearchOutcome(snapshot, source, accepted, parents)
 
 
-def _hoisted_state_moves(
-    snapshot: CompiledGraph, automaton: CompiledAutomaton
-) -> List[List[CSR_PAIR]]:
-    """Per-state CSR selections, hoisted so the edge loops never re-check
-    directions or re-resolve label ids."""
-    state_moves: List[List[CSR_PAIR]] = []
-    for state in range(automaton.num_states):
-        moves: List[CSR_PAIR] = []
-        if automaton.can_more[state]:
-            label_id = automaton.label_of[state]
-            if automaton.allow_fwd[state]:
-                moves.append(snapshot.forward(label_id))
-            if automaton.allow_bwd[state]:
-                moves.append(snapshot.backward(label_id))
-        state_moves.append(moves)
-    return state_moves
-
-
-def audience_sweep_batched(
-    snapshot: CompiledGraph,
-    automaton: CompiledAutomaton,
-    sources: Sequence[int],
-) -> List[List[int]]:
-    """Materialize the accepted node set of every owner, one walk per owner.
-
-    The PR 2 batched sweep, kept as the measurable baseline of
-    :func:`audience_sweep`: the automaton is compiled once (its per-(step,
-    node) condition memo is shared by every owner), each owner's walk keeps
-    its frontier in a plain int list and its visited / accepted markers in
-    ``bytearray`` seen-sets — no per-state hashing, no witness bookkeeping.
-    Overlapping owner neighbourhoods are still re-expanded per owner, which
-    is exactly what the multi-source sweep eliminates.
-
-    Returns one list of accepted node indices per source, in input order.
-    """
-    num_states = automaton.num_states
-    accept_id = automaton.accept_id
-    closure = automaton.closure
-    node_count = snapshot.number_of_nodes()
-    state_moves = _hoisted_state_moves(snapshot, automaton)
-    static_closure = automaton.static_closures()
-
-    guard = active_guard()
-    tripped = False
-    scanned = 0
-    charged = 0
-    audiences: List[List[int]] = []
-    for source in sources:
-        if tripped:
-            # Budget blown on an earlier owner: remaining owners get empty
-            # audiences; the caller surfaces the whole sweep as partial.
-            audiences.append([])
-            continue
-        visited = bytearray(node_count * num_states)
-        is_accepted = bytearray(node_count)
-        accepted: List[int] = []
-        frontier: List[int] = []
-        for state in closure(automaton.start_id, source):
-            key = source * num_states + state
-            if not visited[key]:
-                visited[key] = 1
-                frontier.append(key)
-                if state == accept_id and not is_accepted[source]:
-                    is_accepted[source] = 1
-                    accepted.append(source)
-        while frontier:
-            if guard is not None:
-                if not guard.spend(1 + scanned - charged):
-                    tripped = True
-                    break
-                charged = scanned
-            key = frontier.pop()
-            node, state = divmod(key, num_states)
-            moves = state_moves[state]
-            if not moves:
-                continue
-            next_state = state + 1
-            next_static = static_closure[next_state]
-            for offsets, targets in moves:
-                row_end = offsets[node + 1]
-                scanned += row_end - offsets[node]
-                for position in range(offsets[node], row_end):
-                    neighbor = targets[position]
-                    base = neighbor * num_states
-                    chain = next_static if next_static is not None else closure(
-                        next_state, neighbor
-                    )
-                    for closed in chain:
-                        neighbor_key = base + closed
-                        if visited[neighbor_key]:
-                            continue
-                        visited[neighbor_key] = 1
-                        frontier.append(neighbor_key)
-                        if closed == accept_id and not is_accepted[neighbor]:
-                            is_accepted[neighbor] = 1
-                            accepted.append(neighbor)
-        audiences.append(accepted)
-    return audiences
-
-
 # --------------------------------------------------------------------------
 # Multi-source owner-bitset sweep + direction planner
 # --------------------------------------------------------------------------
@@ -665,9 +557,8 @@ class SweepPlan:
     """The direction planner's verdict for one audience sweep.
 
     ``direction`` is what actually ran: ``"forward"`` (multi-source from the
-    owners), ``"reverse"`` (multi-source from the whole vertex set over the
-    reversed automaton) or ``"batched"`` (the per-owner PR 2 baseline,
-    selectable only by forcing).  Costs are the planner's estimates in
+    owners) or ``"reverse"`` (multi-source from the whole vertex set over
+    the reversed automaton).  Costs are the planner's estimates in
     arbitrary explored-work units; they are computed even when the caller
     forced the direction, so benchmarks can grade the heuristic.
     """
@@ -738,10 +629,7 @@ def plan_audience_sweep(
     ``direction`` other than ``"auto"`` pins the outcome (used by the
     differential tests and benchmarks); costs are estimated either way.
     """
-    if direction not in SWEEP_DIRECTIONS:
-        raise ValueError(
-            f"unknown sweep direction {direction!r}; expected one of {SWEEP_DIRECTIONS}"
-        )
+    check_sweep_direction(direction)
     node_count = snapshot.number_of_live_nodes()
     forward_cost = _estimate_sweep_cost(
         snapshot, tuple(expression), owner_count, owner_count
@@ -778,105 +666,158 @@ def plan_audience_sweep(
     )
 
 
-def _multisource_mask_sweep(
-    snapshot: CompiledGraph,
-    automaton: CompiledAutomaton,
-    seeds: Mapping[int, int],
-) -> List[int]:
-    """Propagate owner bitmasks through the product space in one shared pass.
+class SweepState:
+    """Resumable multi-source owner-bitset sweep over one snapshot.
 
-    ``seeds`` maps node index -> initial bitmask.  Per ``(node, state)``
-    slot the flat ``seen`` table holds the mask of owners whose walk has
-    reached the slot; ``pending`` accumulates the not-yet-propagated part.
-    The worklist is FIFO so the owners' frontiers advance level-aligned and
-    merge into single slot visits — a slot's CSR rows are rescanned only
-    when genuinely new owner bits arrive (``new = mask & ~seen[slot]``),
-    which is the whole win over the per-owner sweep: overlapping owner
-    neighbourhoods cost one traversal, not one per owner.
+    Per ``(node, state)`` slot the flat ``seen`` table holds the mask of
+    owners whose walk has reached the slot; ``pending`` accumulates the
+    not-yet-propagated part.  The worklist is FIFO so the owners' frontiers
+    advance level-aligned and merge into single slot visits — a slot's CSR
+    rows are rescanned only when genuinely new owner bits arrive
+    (``new = mask & ~seen[slot]``): overlapping owner neighbourhoods cost
+    one traversal, not one per owner.
 
     Monotonicity makes this equivalent to running the per-owner walk for
     every seed bit: a bit enters a slot's mask at most once, so each
-    (owner, node, state) triple is expanded at most once, exactly as in
-    :func:`audience_sweep_batched`.
-
-    Returns the flat ``seen`` table; callers read acceptance off
+    (owner, node, state) triple is expanded at most once.  It also makes the
+    sweep resumable: seeds may arrive between runs (at any automaton state,
+    not just the start state), and a run cut short by a
+    :class:`~repro.reliability.guard.QueryGuard` keeps its worklist, so a
+    later run — or a caller reading the tables — sees exactly the monotone
+    state reached so far.  Acceptance is read off
     ``seen[node * num_states + accept_id]``.
     """
-    num_states = automaton.num_states
-    closure = automaton.closure
-    static_closure = automaton.static_closures()
-    state_moves = _hoisted_state_moves(snapshot, automaton)
-    node_count = snapshot.number_of_nodes()
 
-    seen: List[int] = [0] * (node_count * num_states)
-    pending: List[int] = [0] * (node_count * num_states)
-    # Spontaneous-advance chains of condition-gated states, memoized per
-    # (state, node) slot: condition outcomes are stable within a sweep (the
-    # automaton's per-(step, node) memo), so the chain never changes and the
-    # closure call leaves the edge loop after the first visit.
-    chain_memo: Dict[int, Tuple[int, ...]] = {}
-    queue: List[int] = []
-    for node, mask in seeds.items():
-        for state in closure(automaton.start_id, node):
-            key = node * num_states + state
+    __slots__ = (
+        "snapshot",
+        "automaton",
+        "num_states",
+        "seen",
+        "pending",
+        "queue",
+        "head",
+        "chain_memo",
+        "state_moves",
+        "static_closure",
+        "tripped",
+        "scanned",
+    )
+
+    def __init__(self, snapshot: CompiledGraph, automaton: CompiledAutomaton) -> None:
+        self.snapshot = snapshot
+        self.automaton = automaton
+        self.num_states = automaton.num_states
+        size = snapshot.number_of_nodes() * automaton.num_states
+        self.seen: List[int] = [0] * size
+        self.pending: List[int] = [0] * size
+        self.queue: List[int] = []
+        self.head = 0
+        # Spontaneous-advance chains of condition-gated states, memoized per
+        # (state, node) slot: condition outcomes are stable within a sweep
+        # (the automaton's per-(step, node) memo), so the chain never changes
+        # and the closure call leaves the edge loop after the first visit.
+        self.chain_memo: Dict[int, Tuple[int, ...]] = {}
+        # Per-state CSR selections, hoisted so the edge loop never re-checks
+        # directions or re-resolves label ids.
+        self.state_moves: List[List[CSR_PAIR]] = []
+        for state in range(automaton.num_states):
+            moves: List[CSR_PAIR] = []
+            if automaton.can_more[state]:
+                label_id = automaton.label_of[state]
+                if automaton.allow_fwd[state]:
+                    moves.append(snapshot.forward(label_id))
+                if automaton.allow_bwd[state]:
+                    moves.append(snapshot.backward(label_id))
+            self.state_moves.append(moves)
+        self.static_closure = automaton.static_closures()
+        self.tripped = False
+        self.scanned = 0
+
+    def seed(self, node: int, state: int, mask: int) -> None:
+        """Inject owner bits at ``(node, state)``, with spontaneous advances."""
+        num_states = self.num_states
+        seen = self.seen
+        pending = self.pending
+        for closed in self.automaton.closure(state, node):
+            key = node * num_states + closed
             add = mask & ~seen[key]
             if add:
                 seen[key] |= add
                 if not pending[key]:
-                    queue.append(key)
+                    self.queue.append(key)
                 pending[key] |= add
 
-    guard = active_guard()
-    scanned = 0
-    charged = 0
-    head = 0
-    while head < len(queue):
-        if guard is not None:
-            if not guard.spend(1 + scanned - charged):
-                break
-            charged = scanned
-        key = queue[head]
-        head += 1
-        delta = pending[key]
-        pending[key] = 0
-        if not delta:
-            continue
-        node, state = divmod(key, num_states)
-        moves = state_moves[state]
-        if not moves:
-            continue
-        next_state = state + 1
-        next_static = static_closure[next_state]
-        for offsets, targets in moves:
-            # Slicing the CSR row and iterating the array directly saves an
-            # index lookup per edge — this loop is the sweep's entire cost.
-            row = targets[offsets[node]:offsets[node + 1]]
-            scanned += len(row)
-            for neighbor in row:
-                base = neighbor * num_states
-                if next_static is not None:
-                    chain = next_static
-                else:
-                    chain = chain_memo.get(base + next_state)
-                    if chain is None:
-                        chain = chain_memo[base + next_state] = tuple(
-                            closure(next_state, neighbor)
-                        )
-                for closed in chain:
-                    neighbor_key = base + closed
-                    previous = seen[neighbor_key]
-                    if previous:
-                        add = delta & ~previous
-                        if not add:
-                            continue
-                        seen[neighbor_key] = previous | add
+    def has_work(self) -> bool:
+        """Whether seeded or cut-off work is still waiting for a run."""
+        return self.head < len(self.queue)
+
+    def run(self) -> bool:
+        """Drain the worklist; ``False`` when a guard budget cut it short."""
+        guard = active_guard()
+        queue = self.queue
+        seen = self.seen
+        pending = self.pending
+        num_states = self.num_states
+        state_moves = self.state_moves
+        static_closure = self.static_closure
+        closure = self.automaton.closure
+        chain_memo = self.chain_memo
+        head = self.head
+        scanned = 0
+        charged = 0
+        while head < len(queue):
+            if guard is not None:
+                if not guard.spend(1 + scanned - charged):
+                    self.head = head
+                    self.tripped = True
+                    self.scanned += scanned
+                    return False
+                charged = scanned
+            key = queue[head]
+            head += 1
+            delta = pending[key]
+            pending[key] = 0
+            if not delta:
+                continue
+            node, state = divmod(key, num_states)
+            moves = state_moves[state]
+            if not moves:
+                continue
+            next_state = state + 1
+            next_static = static_closure[next_state]
+            for offsets, targets in moves:
+                # Slicing the CSR row and iterating the array directly saves
+                # an index lookup per edge — this loop is the sweep's cost.
+                row = targets[offsets[node]:offsets[node + 1]]
+                scanned += len(row)
+                for neighbor in row:
+                    base = neighbor * num_states
+                    if next_static is not None:
+                        chain = next_static
                     else:
-                        add = delta
-                        seen[neighbor_key] = delta
-                    if not pending[neighbor_key]:
-                        queue.append(neighbor_key)
-                    pending[neighbor_key] |= add
-    return seen
+                        chain = chain_memo.get(base + next_state)
+                        if chain is None:
+                            chain = chain_memo[base + next_state] = tuple(
+                                closure(next_state, neighbor)
+                            )
+                    for closed in chain:
+                        neighbor_key = base + closed
+                        previous = seen[neighbor_key]
+                        if previous:
+                            add = delta & ~previous
+                            if not add:
+                                continue
+                            seen[neighbor_key] = previous | add
+                        else:
+                            add = delta
+                            seen[neighbor_key] = delta
+                        if not pending[neighbor_key]:
+                            queue.append(neighbor_key)
+                        pending[neighbor_key] |= add
+        queue.clear()
+        self.head = 0
+        self.scanned += scanned
+        return True
 
 
 def _mask_bits(mask: int) -> List[int]:
@@ -895,17 +836,19 @@ def _sweep_forward(
     sources: Sequence[int],
 ) -> List[List[int]]:
     """Multi-source sweep from the owners; bit ``i`` stands for ``sources[i]``."""
-    seeds: Dict[int, int] = {}
+    sweep = SweepState(snapshot, automaton)
+    start_id = automaton.start_id
     for bit, node in enumerate(sources):
-        seeds[node] = seeds.get(node, 0) | (1 << bit)
-    seen = _multisource_mask_sweep(snapshot, automaton, seeds)
+        sweep.seed(node, start_id, 1 << bit)
+    sweep.run()
+    seen = sweep.seen
     num_states = automaton.num_states
     accept_id = automaton.accept_id
     audiences: List[List[int]] = [[] for _ in sources]
     # Accepted nodes cluster on few distinct owner masks (overlapping
     # audiences are the whole point of the batch), so bit extraction is
     # memoized per mask value and the decode degenerates to list appends —
-    # the same Sum|audience| appends the per-owner baseline pays.
+    # the same Sum|audience| appends a per-owner walk pays.
     bits_of: Dict[int, List[int]] = {}
     for node in range(snapshot.number_of_nodes()):
         mask = seen[node * num_states + accept_id]
@@ -939,21 +882,17 @@ def _sweep_reverse(
     # their attribute entries are gone, so a condition probe would fail, and
     # a dead bit reaching nothing still widens every mask word for free.
     dead = snapshot.dead_slots
-    if steps[-1].conditions:
-        # The forward automaton's per-(step, node) memo covers the last
-        # step, so repeated reverse sweeps re-evaluate nothing.
-        last_index = len(steps) - 1
-        holds = automaton.condition_holds
-        seeds = {
-            node: 1 << node
-            for node in range(node_count)
-            if node not in dead and holds(last_index, node)
-        }
-    else:
-        seeds = {
-            node: 1 << node for node in range(node_count) if node not in dead
-        }
-    seen = _multisource_mask_sweep(snapshot, reverse, seeds)
+    # The forward automaton's per-(step, node) memo covers the last step, so
+    # repeated reverse sweeps re-evaluate nothing.
+    last_index = len(steps) - 1
+    holds = automaton.condition_holds if steps[-1].conditions else None
+    sweep = SweepState(snapshot, reverse)
+    start_id = reverse.start_id
+    for node in range(node_count):
+        if node not in dead and (holds is None or holds(last_index, node)):
+            sweep.seed(node, start_id, 1 << node)
+    sweep.run()
+    seen = sweep.seen
     num_states = reverse.num_states
     accept_id = reverse.accept_id
     audiences: List[List[int]] = []
@@ -1001,11 +940,9 @@ def audience_sweep(
 ) -> AudienceSweep:
     """Materialize the accepted node set of every owner in ``sources`` at once.
 
-    The multi-source form of the ``find_targets`` product walk: one frontier
-    pass shared by all owners, with per-slot owner bitmasks instead of one
-    bytearray walk per owner (:func:`audience_sweep_batched`, the PR 2
-    baseline, remains available and selectable via ``direction="batched"``).
-    ``direction`` is resolved by :func:`plan_audience_sweep` unless an
+    The multi-source form of the ``find_targets`` product walk: one
+    :class:`SweepState` pass shared by all owners, with per-slot owner
+    bitmasks instead of one walk per owner.  ``direction`` is resolved by :func:`plan_audience_sweep` unless an
     explicit ``plan`` is handed in.  Distance limits are enforced by the
     automaton's depth-encoded states, exactly as in :func:`product_search`.
 
@@ -1016,9 +953,7 @@ def audience_sweep(
         plan = plan_audience_sweep(
             snapshot, automaton.expression, len(sources), direction=direction
         )
-    if plan.direction == "batched":
-        audiences = audience_sweep_batched(snapshot, automaton, sources)
-    elif plan.direction == "reverse":
+    if plan.direction == "reverse":
         audiences = _sweep_reverse(snapshot, automaton, sources)
     else:
         audiences = _sweep_forward(snapshot, automaton, sources)

@@ -90,25 +90,8 @@ class OnlineDFSEvaluator(CompiledSearchMixin):
             return outcome.users()
         return set(self._search(source, expression, result, stop_at=None, collect_witness=False))
 
-    def sweep_targets_many(self, sources, expression: PathExpression, *,
-                           direction: str = "auto"):
-        """Batched :meth:`find_targets`: one automaton, one shared owner sweep.
-
-        Same multi-source owner-bitset sweep as the BFS evaluator (audience
-        materialization has no exploration order); ``direction`` pins the
-        planner.  Returns ``({owner: audience}, executed SweepPlan or None)``.
-        """
-        if self.compiled:
-            return self._compiled_sweep_many(
-                list(sources), expression, direction=direction
-            )
-        return (
-            {source: self.find_targets(source, expression) for source in sources},
-            None,
-        )
-
-    # find_targets_many (the audiences-only legacy wrapper) is inherited
-    # from SweepPlanSideChannel, shared by all four backends.
+    # sweep_targets_many / find_targets_many (the bulk audience forms) are
+    # inherited from CompiledSearchMixin.
 
     # ------------------------------------------------- legacy (dict) search
 

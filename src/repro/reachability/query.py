@@ -43,8 +43,8 @@ def check_expansion_limit(expression: PathExpression, limit: Optional[int]) -> N
 
     The single home of the expansion-limit policy: :func:`expand_line_queries`
     enforces it before materializing line queries, and the cluster backend's
-    batched audience sweep (which needs no expansion) applies the same guard
-    so batched and per-owner calls raise on exactly the same expressions.
+    multi-owner audience sweep (which needs no expansion) applies the same
+    guard so bulk and per-owner calls raise on exactly the same expressions.
     """
     if len(expression) == 0:
         raise QueryError("cannot expand an empty path expression")

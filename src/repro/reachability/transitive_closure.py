@@ -34,7 +34,7 @@ from repro.graph.social_graph import SocialGraph
 from repro.policy.path_expression import PathExpression
 from repro.policy.steps import Direction
 from repro.reachability.bfs import OnlineBFSEvaluator
-from repro.reachability.compiled_search import SweepPlanSideChannel
+from repro.reachability.compiled_search import SweepTargetsMixin
 from repro.reachability.result import EvaluationResult
 
 __all__ = ["TransitiveClosureIndex", "TransitiveClosureEvaluator"]
@@ -206,7 +206,7 @@ class TransitiveClosureIndex:
         }
 
 
-class TransitiveClosureEvaluator(SweepPlanSideChannel):
+class TransitiveClosureEvaluator(SweepTargetsMixin):
     """Constrained-query evaluator that prunes with the transitive closure.
 
     The closure alone cannot answer ordered label-constraint queries (it
@@ -286,9 +286,6 @@ class TransitiveClosureEvaluator(SweepPlanSideChannel):
         if not self._built:
             raise IndexNotBuiltError("call build() before evaluating queries")
         return self._bfs.sweep_targets_many(sources, expression, direction=direction)
-
-    # find_targets_many (the audiences-only legacy wrapper) is inherited
-    # from SweepPlanSideChannel, shared by all four backends.
 
     # ---------------------------------------------------------------- prune
 

@@ -7,9 +7,8 @@ to be dispatch mechanics are now **plan pins**:
 * ``backend`` — pin the query to one reachability backend (``"bfs"``,
   ``"dfs"``, ``"transitive-closure"``, ``"cluster-index"``).  ``None`` (or
   ``"auto"``) lets the :class:`~repro.service.planner.QueryPlanner` choose.
-* ``direction`` — pin the audience sweep's direction (``"forward"``,
-  ``"reverse"``, ``"batched"``); ``"auto"`` keeps the PR 3 sweep planner in
-  charge.
+* ``direction`` — pin the audience sweep's direction (``"forward"`` or
+  ``"reverse"``); ``"auto"`` keeps the PR 3 sweep planner in charge.
 
 Expressions may be path-expression text or parsed
 :class:`~repro.policy.path_expression.PathExpression` objects; the service
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Tuple, Union
 
 from repro.policy.path_expression import PathExpression
-from repro.reachability.compiled_search import SWEEP_DIRECTIONS
+from repro.reachability.compiled_search import check_sweep_direction
 
 __all__ = [
     "Expression",
@@ -34,13 +33,6 @@ __all__ = [
 ]
 
 Expression = Union[str, PathExpression]
-
-
-def _check_direction(direction: str) -> None:
-    if direction not in SWEEP_DIRECTIONS:
-        raise ValueError(
-            f"unknown sweep direction {direction!r}; expected one of {SWEEP_DIRECTIONS}"
-        )
 
 
 def _as_tuple(values, *, what: str) -> Tuple[Hashable, ...]:
@@ -90,7 +82,7 @@ class AudienceQuery:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "owners", _as_tuple(self.owners, what="owners"))
-        _check_direction(self.direction)
+        check_sweep_direction(self.direction)
 
     @property
     def kind(self) -> str:
@@ -123,7 +115,7 @@ class BulkAccessQuery:
         object.__setattr__(
             self, "resource_ids", _as_tuple(self.resource_ids, what="resource_ids")
         )
-        _check_direction(self.direction)
+        check_sweep_direction(self.direction)
 
     @property
     def kind(self) -> str:

@@ -2,11 +2,9 @@
 
 A :class:`PlannedResult` owns the :class:`~repro.service.planner.
 ExecutionPlan` that produced it (and, for audience shapes, the executed
-:class:`~repro.reachability.compiled_search.SweepPlan`).  This replaces the
-mutable ``last_sweep_plan`` / ``last_audience_plans`` attributes: a result's
-provenance can no longer be overwritten by the next call, so the historical
-race — reading a side-channel after a memo-warm call and seeing a *previous*
-call's plan — is structurally impossible.
+:class:`~repro.reachability.compiled_search.SweepPlan`).  A result's
+provenance can never be overwritten by the next call, so reading it after a
+memo-warm call can never show a *previous* call's plan.
 """
 
 from __future__ import annotations

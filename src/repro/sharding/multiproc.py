@@ -9,6 +9,14 @@ each bulk-synchronous round sends every touched shard its pending seeds
 *first* and only then collects exports, so the workers' sweep work runs in
 parallel.
 
+Each worker drives the same resumable
+:class:`~repro.reachability.compiled_search.SweepState` kernel as the
+in-process router (as a :class:`~repro.sharding.router.GhostSweepState`),
+so the pool adds transport, not a traversal of its own.  Expressions are
+parsed in the parent before anything is sent: a malformed expression
+raises :class:`~repro.exceptions.PathExpressionSyntaxError` to the caller
+and the workers only ever see canonical text.
+
 The pool reads the manifest written by
 :meth:`~repro.sharding.shard.ShardedGraph.save` — shard stems for loading,
 the owner map for routing — and never recomputes the partition.  Ghost
@@ -27,7 +35,7 @@ from typing import Dict, Hashable, List, Sequence, Set, Tuple
 from repro.graph.snapshot import SnapshotStore
 from repro.policy.path_expression import PathExpression
 from repro.reachability.compiled_search import CompiledAutomaton, _mask_bits
-from repro.sharding.router import _ShardSweepState, ghost_indices
+from repro.sharding.router import GhostSweepState, ghost_indices
 from repro.sharding.shard import ShardedGraph
 
 __all__ = ["ShardServingPool"]
@@ -64,7 +72,7 @@ def _shard_worker(stem_path: str, conn) -> None:
         if kind == "begin":
             expression = PathExpression.parse(message[1])
             automaton = CompiledAutomaton(expression, snapshot)
-            state = _ShardSweepState(snapshot, automaton, ghosts)
+            state = GhostSweepState(snapshot, automaton, ghosts)
             conn.send(("ok",))
         elif kind == "seeds":
             for user, state_id, mask in message[1]:
@@ -155,7 +163,11 @@ class ShardServingPool:
         sources = list(dict.fromkeys(sources))
         if len(sources) > 1 << 16:
             raise ValueError("bulk audience is limited to 65536 owners per call")
-        text = str(expression)
+        if not isinstance(expression, PathExpression):
+            # Parse here, not in the workers: a worker dying on a malformed
+            # expression would leave every pipe of the pool broken.
+            expression = PathExpression.parse(expression)
+        text = expression.to_text()
         for conn in self.conns:
             conn.send(("begin", text))
         for conn in self.conns:

@@ -9,14 +9,14 @@ through explicit messages.
 
 Execution model — bulk-synchronous product sweep
 ------------------------------------------------
-Each shard keeps a persistent :class:`_ShardSweepState`: the flat
-``seen``/``pending`` mask tables of
-:func:`~repro.reachability.compiled_search._multisource_mask_sweep`, made
-*resumable*.  A round seeds the pending messages, runs every touched shard's
-worklist to exhaustion, then exports the mask deltas that accumulated on
-**ghost** slots as ``(user, state, mask)`` messages routed to the ghost's
-home shard.  Masks only ever grow, so the rounds reach exactly the fixpoint
-of the global product walk — the differential harness in
+Each shard keeps a persistent :class:`GhostSweepState`: the resumable
+:class:`~repro.reachability.compiled_search.SweepState` kernel — the same
+one the unsharded audience sweep runs — plus the one thing sharding adds,
+the ghost-slot export.  A round seeds the pending messages, runs every
+touched shard's worklist to exhaustion, then exports the mask deltas that
+accumulated on **ghost** slots as ``(user, state, mask)`` messages routed to
+the ghost's home shard.  Masks only ever grow, so the rounds reach exactly
+the fixpoint of the global product walk — the differential harness in
 ``tests/property/test_shard_equivalence.py`` holds the router to the
 unsharded four-backend answers on every query shape.  The message seam is
 deliberately value-shaped (user ids, automaton state ids, int masks): the
@@ -39,16 +39,15 @@ from repro.graph.compiled import CompiledGraph, compile_graph, register_derived_
 from repro.policy.path_expression import PathExpression
 from repro.policy.steps import Direction
 from repro.reachability.compiled_search import (
-    SWEEP_DIRECTIONS,
     CompiledAutomaton,
     SweepPlan,
-    _hoisted_state_moves,
+    SweepState,
     _mask_bits,
+    check_sweep_direction,
     plan_audience_sweep,
     reversed_expression,
 )
 from repro.reachability.result import EvaluationResult
-from repro.reliability.guard import active_guard
 from repro.sharding.shard import GHOST_ATTR, ShardedGraph
 from repro.sharding.summary import BoundarySummary
 
@@ -91,33 +90,10 @@ class ShardSweepPlan(SweepPlan):
     partial_shards: Tuple[int, ...] = ()
 
 
-class _ShardSweepState:
-    """Resumable multi-source mask sweep over one shard snapshot.
+class GhostSweepState(SweepState):
+    """A shard's :class:`SweepState` that exports its ghost-slot mask deltas."""
 
-    The loop body is :func:`~repro.reachability.compiled_search.
-    _multisource_mask_sweep` verbatim; the differences are that seeds may
-    arrive *between* runs (messages seed arbitrary automaton states, not
-    just the start state) and that the worklist survives a guard trip, so a
-    later round — or a differential test reading the tables — sees exactly
-    the monotone state reached so far.
-    """
-
-    __slots__ = (
-        "snapshot",
-        "automaton",
-        "num_states",
-        "seen",
-        "pending",
-        "queue",
-        "head",
-        "chain_memo",
-        "state_moves",
-        "static_closure",
-        "ghosts",
-        "sent",
-        "tripped",
-        "scanned",
-    )
+    __slots__ = ("ghosts", "sent")
 
     def __init__(
         self,
@@ -125,100 +101,9 @@ class _ShardSweepState:
         automaton: CompiledAutomaton,
         ghosts: Sequence[int],
     ) -> None:
-        self.snapshot = snapshot
-        self.automaton = automaton
-        self.num_states = automaton.num_states
-        size = snapshot.number_of_nodes() * automaton.num_states
-        self.seen: List[int] = [0] * size
-        self.pending: List[int] = [0] * size
-        self.queue: List[int] = []
-        self.head = 0
-        self.chain_memo: Dict[int, Tuple[int, ...]] = {}
-        self.state_moves = _hoisted_state_moves(snapshot, automaton)
-        self.static_closure = automaton.static_closures()
+        super().__init__(snapshot, automaton)
         self.ghosts = list(ghosts)
         self.sent: Dict[int, int] = {}
-        self.tripped = False
-        self.scanned = 0
-
-    def seed(self, node: int, state: int, mask: int) -> None:
-        """Inject owner bits at ``(node, state)``, with spontaneous advances."""
-        num_states = self.num_states
-        for closed in self.automaton.closure(state, node):
-            key = node * num_states + closed
-            add = mask & ~self.seen[key]
-            if add:
-                self.seen[key] |= add
-                if not self.pending[key]:
-                    self.queue.append(key)
-                self.pending[key] |= add
-
-    def has_work(self) -> bool:
-        return self.head < len(self.queue)
-
-    def run(self) -> bool:
-        """Drain the worklist; ``False`` when a guard budget cut it short."""
-        guard = active_guard()
-        queue = self.queue
-        seen = self.seen
-        pending = self.pending
-        num_states = self.num_states
-        state_moves = self.state_moves
-        static_closure = self.static_closure
-        closure = self.automaton.closure
-        chain_memo = self.chain_memo
-        scanned = 0
-        charged = 0
-        while self.head < len(queue):
-            if guard is not None:
-                if not guard.spend(1 + scanned - charged):
-                    self.tripped = True
-                    self.scanned += scanned
-                    return False
-                charged = scanned
-            key = queue[self.head]
-            self.head += 1
-            delta = pending[key]
-            pending[key] = 0
-            if not delta:
-                continue
-            node, state = divmod(key, num_states)
-            moves = state_moves[state]
-            if not moves:
-                continue
-            next_state = state + 1
-            next_static = static_closure[next_state]
-            for offsets, targets in moves:
-                row = targets[offsets[node]:offsets[node + 1]]
-                scanned += len(row)
-                for neighbor in row:
-                    base = neighbor * num_states
-                    if next_static is not None:
-                        chain = next_static
-                    else:
-                        chain = chain_memo.get(base + next_state)
-                        if chain is None:
-                            chain = chain_memo[base + next_state] = tuple(
-                                closure(next_state, neighbor)
-                            )
-                    for closed in chain:
-                        neighbor_key = base + closed
-                        previous = seen[neighbor_key]
-                        if previous:
-                            add = delta & ~previous
-                            if not add:
-                                continue
-                            seen[neighbor_key] = previous | add
-                        else:
-                            add = delta
-                            seen[neighbor_key] = delta
-                        if not pending[neighbor_key]:
-                            queue.append(neighbor_key)
-                        pending[neighbor_key] |= add
-        self.queue = []
-        self.head = 0
-        self.scanned += scanned
-        return True
 
     def export(self) -> List[Tuple[Hashable, int, int]]:
         """New ghost-slot mask bits since the last export, as messages."""
@@ -297,14 +182,14 @@ class ShardRouter:
     def _state_factory(self, expression: PathExpression):
         """Per-shard lazily created sweep states over one automaton."""
         snapshots = self.sharded.snapshots()
-        states: Dict[int, _ShardSweepState] = {}
+        states: Dict[int, GhostSweepState] = {}
 
-        def state_for(shard: int) -> _ShardSweepState:
+        def state_for(shard: int) -> GhostSweepState:
             state = states.get(shard)
             if state is None:
                 snapshot = snapshots[shard]
                 automaton = CompiledAutomaton(expression, snapshot)
-                state = states[shard] = _ShardSweepState(
+                state = states[shard] = GhostSweepState(
                     snapshot, automaton, ghost_indices(snapshot)
                 )
             return state
@@ -313,7 +198,7 @@ class ShardRouter:
 
     def _run_rounds(
         self,
-        states: Dict[int, _ShardSweepState],
+        states: Dict[int, GhostSweepState],
         state_for,
         messages: Dict[int, List[Tuple[Hashable, int, int]]],
         *,
@@ -360,7 +245,7 @@ class ShardRouter:
         return rounds, message_count, escalated, tripped
 
     @staticmethod
-    def _partial_shards(states: Dict[int, _ShardSweepState]) -> Tuple[int, ...]:
+    def _partial_shards(states: Dict[int, GhostSweepState]) -> Tuple[int, ...]:
         return tuple(
             sorted(
                 shard
@@ -463,11 +348,7 @@ class ShardRouter:
         direction: str = "auto",
     ) -> Tuple[Dict[Hashable, Set[Hashable]], ShardSweepPlan]:
         """Materialize many owners' audiences via per-shard mask sweeps."""
-        if direction not in SWEEP_DIRECTIONS:
-            raise ValueError(
-                f"unknown sweep direction {direction!r}; expected one of "
-                f"{SWEEP_DIRECTIONS}"
-            )
+        check_sweep_direction(direction)
         expression = self._parse(expression)
         self.refresh()
         sources = list(dict.fromkeys(sources))
@@ -479,16 +360,12 @@ class ShardRouter:
             len(sources),
             direction=direction,
         )
-        if base_plan.direction == "reverse":
-            audiences, states, rounds, messages, escalated, tripped = (
-                self._reverse_sweep(sources, expression)
-            )
-        else:
-            # "batched" has no per-owner analogue across shards; it
-            # collapses into the forward mask sweep (identical answers).
-            audiences, states, rounds, messages, escalated, tripped = (
-                self._forward_sweep(sources, expression)
-            )
+        sweep = (
+            self._reverse_sweep if base_plan.direction == "reverse" else self._forward_sweep
+        )
+        audiences, states, rounds, messages, escalated, tripped = sweep(
+            sources, expression
+        )
         if escalated:
             self.escalated_queries += 1
         else:

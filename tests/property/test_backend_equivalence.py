@@ -15,10 +15,10 @@ self-succession semantics.
 
 A second seeded harness differentials the **multi-source owner-bitset
 audience sweep**: on every backend, ``find_targets_many`` — under every
-planner outcome (``auto`` plus forced ``forward`` / ``reverse`` and the
-per-owner ``batched`` baseline) — must return exactly the audiences of a
-per-owner ``find_targets`` loop, including self-loops, duplicate owners,
-empty owner lists and owners absent from the graph.
+planner outcome (``auto`` plus forced ``forward`` / ``reverse``) — must
+return exactly the audiences of a per-owner ``find_targets`` loop,
+including self-loops, duplicate owners, empty owner lists and owners absent
+from the graph.
 """
 
 from __future__ import annotations
@@ -199,13 +199,8 @@ def test_absent_owners_follow_each_backends_contract():
         assert audiences == {"a": cluster.find_targets("a", expression), "ghost": set()}
 
 
-@pytest.mark.filterwarnings("default:.*deprecated side-channel")
 def test_forced_directions_are_recorded_on_the_plan():
-    """Pinning the planner must be visible on ``last_sweep_plan``.
-
-    This test covers the legacy side-channel contract itself, so the
-    repo-wide deprecation-as-error filter is relaxed.
-    """
+    """Pinning the planner must be visible on the plan ``sweep_targets_many`` returns."""
     rng = random.Random(77)
     graph = random_social_graph(rng)
     users = sorted(graph.users())
@@ -213,13 +208,11 @@ def test_forced_directions_are_recorded_on_the_plan():
 
     expression = PathExpression.parse("friend+[1,2]")
     for name, backend in _audience_backends(graph).items():
-        for direction in ("forward", "reverse", "batched"):
-            backend.find_targets_many(users, expression, direction=direction)
-            plan = backend.last_sweep_plan
+        for direction in ("forward", "reverse"):
+            _, plan = backend.sweep_targets_many(users, expression, direction=direction)
             assert plan is not None and plan.direction == direction, (name, direction)
             assert plan.forced
-        backend.find_targets_many(users, expression)
-        auto_plan = backend.last_sweep_plan
+        _, auto_plan = backend.sweep_targets_many(users, expression)
         assert auto_plan is not None and not auto_plan.forced
         assert auto_plan.direction in ("forward", "reverse")
         assert auto_plan.forward_cost >= 0 and auto_plan.reverse_cost >= 0

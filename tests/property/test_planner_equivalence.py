@@ -79,7 +79,7 @@ def test_auto_selected_audiences_equal_every_pinned_backend(seed):
             rng, LABELS, max_steps=2, max_depth=2, condition_probability=0.3
         )
         owners = tuple(rng.sample(users, rng.randint(1, len(users))))
-        for direction in ("auto", "forward", "batched"):
+        for direction in ("auto", "forward"):
             query = AudienceQuery(owners, expression, direction=direction)
             got = auto.execute(query)
             for name, service in pinned.items():

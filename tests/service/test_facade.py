@@ -166,8 +166,8 @@ class TestSweepPlanRace:
         warm = service.audience(["Alice", "Bill"], "friend+[1,2]")
         # The warm call swept nothing: its result says so...
         assert warm.sweep_plan is None
-        # ...and the cold result's plan is untouched — under the old
-        # last_sweep_plan attribute the second call overwrote it with None.
+        # ...and the cold result's plan is untouched — a mutable per-engine
+        # attribute would have been overwritten with None by the second call.
         assert cold.sweep_plan is not None and cold.sweep_plan.owners == 2
 
     def test_engine_sweep_returns_the_plan_of_this_call(self, figure1):

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.exceptions import PathExpressionSyntaxError
 from repro.graph.compiled import compile_graph
 from repro.graph.generators import community_graph
 from repro.policy.path_expression import PathExpression
@@ -93,6 +94,19 @@ def test_pool_routing_matches_partition(serving_setup, start_method):
         assert sum(info["ghosts"] for info in pool.worker_info) >= len(
             sharded.boundary_users()
         )
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_malformed_expression_leaves_the_pool_serving(serving_setup, start_method):
+    """Regression: a parse error used to kill every worker mid-protocol."""
+    graph, _sharded, directory, snapshot = serving_setup
+    owners = sorted(graph.users(), key=str)[:5]
+    want = reference_audiences(snapshot, EXPRESSIONS[0], owners)
+    with ShardServingPool(directory, start_method=start_method) as pool:
+        with pytest.raises(PathExpressionSyntaxError):
+            pool.bulk_audience(owners, "friend+[")
+        got = pool.bulk_audience(owners, EXPRESSIONS[0])
+        assert [got[owner] for owner in owners] == want
 
 
 def test_pool_close_is_idempotent(serving_setup):
